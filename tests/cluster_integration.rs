@@ -332,6 +332,56 @@ fn fleet_scale_64_backends_is_deterministic_and_pinned() {
     );
 }
 
+/// Pins scheduling order where the run queue is deepest: the paper's
+/// apache workload (200-request bursts at the Fig. 8 low load) backs the
+/// kernel run queue up past a thousand entries, far beyond the
+/// memcached fleets the golden digest covers. Any change to which entry
+/// a core picks, or to the order sleeping cores are woken in, moves the
+/// event count, the latency percentiles or the energy bits below.
+#[test]
+fn apache_burst_deep_queue_order_is_pinned() {
+    // (seed, events, completed, p50 ns, p99 ns, energy bits, max depth)
+    const PINNED: [(u64, u64, u64, u64, u64, u64, usize); 2] = [
+        (
+            7,
+            88_599,
+            2_000,
+            3_145_727,
+            4_325_375,
+            0x4015_105c_3083_d480,
+            1_423,
+        ),
+        (
+            11,
+            82_213,
+            1_800,
+            3_211_263,
+            4_849_663,
+            0x4013_7b4f_9972_d8ce,
+            1_389,
+        ),
+    ];
+    for (seed, events, completed, p50, p99, energy, depth) in PINNED {
+        let r = run_experiment(
+            &ExperimentConfig::new(AppKind::Apache, Policy::NcapCons, 24_000.0)
+                .with_rx_ring(1024)
+                .with_durations(SimDuration::from_ms(20), SimDuration::from_ms(100))
+                .with_drain(SimDuration::from_ms(20))
+                .with_seed(seed),
+        );
+        assert!(
+            r.max_queue_depth > 1_000,
+            "seed {seed}: the run queue must get deep"
+        );
+        assert_eq!(r.events_processed, events, "seed {seed}: events");
+        assert_eq!(r.completed, completed, "seed {seed}: completed");
+        assert_eq!(r.latency.p50, p50, "seed {seed}: p50");
+        assert_eq!(r.latency.p99, p99, "seed {seed}: p99");
+        assert_eq!(r.energy_j.to_bits(), energy, "seed {seed}: energy bits");
+        assert_eq!(r.max_queue_depth, depth, "seed {seed}: max depth");
+    }
+}
+
 /// The determinism contract the ISSUE's acceptance criteria demand for
 /// the rival stacks: per datapath, serial == parallel == traced runs are
 /// byte-identical on the full `Debug` render, and the datapath actually
