@@ -7,6 +7,7 @@
 
 use crate::app::{AppPhase, RequestInfo, ServerApp};
 use crate::config::{KernelConfig, ShedPolicy};
+use crate::run_queue::RunQueue;
 use crate::work::{Work, WorkKind};
 use cpusim::{
     CState, Core, CoreId, CoreStateKind, EnergyMeter, PStateTable, PowerMode, PowerModel,
@@ -306,7 +307,10 @@ pub struct Kernel {
     last_gov_sample: SimTime,
     last_busy: Vec<desim::SimDuration>,
 
-    run_queue: VecDeque<Work>,
+    run_queue: RunQueue,
+    /// Cores the last dispatch pass woke, in wake order; reused across
+    /// passes so dispatch never allocates.
+    wake_buf: Vec<usize>,
     /// Bypass datapath: the userspace RX/TX descriptor ring busy-poll
     /// cores drain. Always empty on the kernel datapath.
     poll_queue: bypass::UserRing<Work>,
@@ -422,7 +426,8 @@ impl Kernel {
             ondemand_suspended_until: SimTime::ZERO,
             last_gov_sample: SimTime::ZERO,
             last_busy: vec![desim::SimDuration::ZERO; n],
-            run_queue: VecDeque::new(),
+            run_queue: RunQueue::new(n),
+            wake_buf: Vec::with_capacity(n),
             poll_queue: bypass::UserRing::new(),
             current: std::iter::repeat_with(|| None).take(n).collect(),
             job_slots: vec![TimerSlot::new(); n],
@@ -819,76 +824,30 @@ impl Kernel {
     }
 
     fn try_dispatch(&mut self, now: SimTime, fx: &mut Effects) {
-        // Assign queue entries to idle cores, respecting affinity,
-        // skipping over blocked entries so affinity cannot head-of-line
-        // block unrelated work.
-        loop {
-            let mut pick: Option<(usize, usize)> = None;
-            for qi in 0..self.run_queue.len() {
-                let target = match self.run_queue[qi].affinity {
-                    Some(c) => {
-                        let c = c as usize;
-                        self.cores[c].is_idle().then_some(c)
-                    }
-                    // Non-affine (application) work prefers the highest
-                    // idle core: core 0 carries the IRQ/SoftIRQ load of
-                    // the single-queue NIC, and a Linux scheduler keeps
-                    // application threads off it while others are free.
-                    // Busy-poll cores (below `floor`) take no application
-                    // work at all.
-                    None => {
-                        let floor = self.poll_core_count();
-                        self.cores[floor..]
-                            .iter()
-                            .rposition(Core::is_idle)
-                            .map(|i| i + floor)
-                    }
-                };
-                if let Some(ci) = target {
-                    pick = Some((qi, ci));
-                    break;
-                }
-            }
-            match pick {
-                Some((qi, ci)) => {
-                    let work = self.run_queue.remove(qi).expect("index in range");
-                    self.start_work(now, ci, work, fx);
-                }
-                None => break,
-            }
+        // Assign queue entries to idle cores, respecting affinity: blocked
+        // pinned work cannot head-of-line block unrelated work. Non-affine
+        // (application) work prefers the highest idle core: core 0
+        // carries the IRQ/SoftIRQ load of the single-queue NIC, and a
+        // Linux scheduler keeps application threads off it while others
+        // are free. Busy-poll cores (below `floor`) take no application
+        // work at all.
+        let floor = self.poll_core_count();
+        while let Some((work, ci)) = self
+            .run_queue
+            .pop_dispatch(|ci| self.cores[ci].is_idle(), floor)
+        {
+            self.start_work(now, ci, work, fx);
         }
         // Wake sleeping cores for whatever remains queued.
-        let mut wake: Vec<usize> = Vec::new();
-        let mut nonaffine = 0usize;
-        for w in &self.run_queue {
-            match w.affinity {
-                Some(c) => {
-                    let c = c as usize;
-                    if matches!(self.cores[c].state_kind(), CoreStateKind::Asleep(_))
-                        && !wake.contains(&c)
-                    {
-                        wake.push(c);
-                    }
-                }
-                None => nonaffine += 1,
-            }
-        }
-        if nonaffine > 0 {
-            for ci in 0..self.cores.len() {
-                if nonaffine == 0 {
-                    break;
-                }
-                if matches!(self.cores[ci].state_kind(), CoreStateKind::Asleep(_))
-                    && !wake.contains(&ci)
-                {
-                    wake.push(ci);
-                    nonaffine -= 1;
-                }
-            }
-        }
-        for ci in wake {
+        let mut wake = std::mem::take(&mut self.wake_buf);
+        self.run_queue.wake_order(
+            |ci| matches!(self.cores[ci].state_kind(), CoreStateKind::Asleep(_)),
+            &mut wake,
+        );
+        for &ci in &wake {
             self.wake_core(now, ci, fx);
         }
+        self.wake_buf = wake;
     }
 
     fn on_job_done(&mut self, now: SimTime, ci: usize, gen: u64, fx: &mut Effects) {

@@ -27,6 +27,7 @@
 pub mod app;
 pub mod config;
 pub mod kernel;
+mod run_queue;
 pub mod work;
 
 pub use app::{AppPhase, AppPlan, RequestInfo, ServerApp};
