@@ -155,6 +155,15 @@ echo "==> chaos smoke ok ($chaos_dir)"
 # BENCH_6.json).
 run scripts/bench_record.sh --smoke
 
+# Benchmark health smoke: a one-second perfbench run of the memcached
+# knee workload must pass its own health gate (every sub-seed healthy,
+# repeats simulate identically), which it reports on its last line.
+perf_out=$(run cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload mc_knee --seed 7 --seconds 1 --trace 0)
+echo "$perf_out" | tail -1 | grep -q '"correct": true' ||
+    { echo "verify: perfbench mc_knee run is not correct" >&2; exit 1; }
+echo "==> perfbench smoke ok"
+
 # Hermeticity: no external crates may creep back into any manifest.
 if grep -rn '^\(rand\|bytes\|proptest\|criterion\|serde\|crossbeam\|parking_lot\)' \
     Cargo.toml crates/*/Cargo.toml; then
