@@ -305,7 +305,7 @@ pub fn try_run_experiment(cfg: &ExperimentConfig) -> Result<ExperimentResult, Co
     // in-flight work settles before the quiescence check at the horizon.
     let load_end = horizon - cfg.drain;
     let initial = cluster.initial_events(cfg.warmup, load_end);
-    let mut sim = Simulation::with_backend(cluster, cfg.queue_backend);
+    let mut sim = Simulation::new(cluster);
     if cfg.profile {
         sim.enable_profiling();
     }

@@ -11,13 +11,10 @@
 //!
 //! * [`EventQueue`] orders events by `(time, insertion sequence)`, so
 //!   simultaneous events always fire in the order they were scheduled.
-//!   The default backend is a calendar queue (O(1) amortized push/pop);
-//!   a reference `BinaryHeap` backend remains selectable via
-//!   [`QueueBackend`] as a differential-test oracle, and both deliver
-//!   identical streams.
-//! * [`SplitMix64`] provides a tiny, dependency-free deterministic RNG for
-//!   internal jitter; workload-level randomness uses seeded `rand` RNGs in
-//!   higher layers.
+//! * [`SplitMix64`] is the only source of randomness: a tiny,
+//!   dependency-free deterministic RNG that every layer seeds from the
+//!   experiment configuration, from internal jitter up to workload
+//!   arrival processes.
 //!
 //! ## Example
 //!
@@ -43,7 +40,7 @@ pub mod timer;
 
 pub use config::ConfigError;
 pub use profiler::{ClassStats, Profile, PROFILE_BUCKETS};
-pub use queue::{EventQueue, QueueBackend};
+pub use queue::EventQueue;
 pub use rng::SplitMix64;
 pub use runner::{EventHandler, RunOutcome, Simulation};
 pub use time::{SimDuration, SimTime};

@@ -5,7 +5,7 @@
 //! clock, and lets the handler react (usually by scheduling further events).
 
 use crate::profiler::{Profile, Profiler};
-use crate::queue::{EventQueue, QueueBackend};
+use crate::queue::EventQueue;
 use crate::time::SimTime;
 
 /// Upper bound on events delivered per queue traversal in
@@ -88,16 +88,8 @@ impl<H: EventHandler> Simulation<H> {
 
     /// Creates a simulation at time zero with an empty queue.
     pub fn new(handler: H) -> Self {
-        Self::with_backend(handler, QueueBackend::default())
-    }
-
-    /// Creates a simulation whose event queue runs on an explicit
-    /// backend. Delivery order — and therefore every simulation result —
-    /// is identical across backends; this exists for differential tests
-    /// and benchmark baselines.
-    pub fn with_backend(handler: H, backend: QueueBackend) -> Self {
         Simulation {
-            queue: EventQueue::with_backend(backend),
+            queue: EventQueue::new(),
             handler,
             now: SimTime::ZERO,
             processed: 0,
@@ -382,27 +374,6 @@ mod tests {
         assert_eq!(sim.handler().order, want);
         assert_eq!(sim.now(), SimTime::from_us(7));
         assert_eq!(sim.events_processed(), 600);
-    }
-
-    #[test]
-    fn backend_choice_does_not_change_results() {
-        let run = |backend| {
-            let mut sim = Simulation::with_backend(
-                Ticker {
-                    period: SimDuration::from_us(100),
-                    ticks: Vec::new(),
-                    limit: 50,
-                },
-                backend,
-            );
-            sim.queue_mut().push(SimTime::ZERO, ());
-            sim.run_until(SimTime::from_ms(3));
-            (sim.now(), sim.events_processed(), sim.into_handler().ticks)
-        };
-        assert_eq!(
-            run(crate::queue::QueueBackend::Calendar),
-            run(crate::queue::QueueBackend::BinaryHeap)
-        );
     }
 
     #[test]

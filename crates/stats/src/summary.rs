@@ -60,10 +60,12 @@ impl LatencySummary {
         [n(self.p50), n(self.p90), n(self.p95), n(self.p99)]
     }
 
-    /// `true` when the p95 response time meets the SLA.
+    /// `true` when the p95 response time meets the SLA. A summary with
+    /// no samples never meets it: its p95 reads 0 only because nothing
+    /// completed.
     #[must_use]
     pub fn meets_sla(&self, sla_ns: u64) -> bool {
-        self.p95 <= sla_ns
+        self.count > 0 && self.p95 <= sla_ns
     }
 }
 
@@ -118,6 +120,10 @@ mod tests {
         let s = LatencySummary::from_histogram(&LogHistogram::new());
         assert_eq!(s.count, 0);
         assert_eq!(s.p95, 0);
+        assert!(
+            !s.meets_sla(u64::MAX),
+            "a run that completed nothing meets no SLA"
+        );
     }
 
     #[test]

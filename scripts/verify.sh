@@ -155,13 +155,16 @@ echo "==> chaos smoke ok ($chaos_dir)"
 # BENCH_6.json).
 run scripts/bench_record.sh --smoke
 
-# Benchmark health smoke: a one-second perfbench run of the memcached
-# knee workload must pass its own health gate (every sub-seed healthy,
-# repeats simulate identically), which it reports on its last line.
-perf_out=$(run cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
-    --workload mc_knee --seed 7 --seconds 1 --trace 0)
-echo "$perf_out" | tail -1 | grep -q '"correct": true' ||
-    { echo "verify: perfbench mc_knee run is not correct" >&2; exit 1; }
+# Benchmark health smoke: one-second perfbench runs of the memcached
+# knee workload and of the 12-backend JSQ fleet (where the event queue
+# dominates) must pass their own health gate (every sub-seed healthy,
+# repeats simulate identically), which each reports on its last line.
+for workload in mc_knee fleet_jsq; do
+    perf_out=$(run cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 7 --seconds 1 --trace 0)
+    echo "$perf_out" | tail -1 | grep -q '"correct": true' ||
+        { echo "verify: perfbench $workload run is not correct" >&2; exit 1; }
+done
 echo "==> perfbench smoke ok"
 
 # Hermeticity: no external crates may creep back into any manifest.
