@@ -225,6 +225,10 @@ pub struct ClusterSim {
     /// request fully reassembled (reordering can complete a request on a
     /// non-final segment).
     stage_cache: HashMap<u64, netsim::StageRecord>,
+    /// The one effects buffer every server event appends into; emptied
+    /// (capacity kept) after each event, so the event path never
+    /// allocates one.
+    fx: Effects,
 }
 
 impl std::fmt::Debug for ClusterSim {
@@ -360,6 +364,7 @@ impl ClusterSim {
             breakdown: BreakdownCollector::new(),
             collect_breakdown: true,
             stage_cache: HashMap::new(),
+            fx: Effects::default(),
         })
     }
 
@@ -435,8 +440,9 @@ impl ClusterSim {
         let mut events = Vec::new();
         for si in 0..self.servers.len() {
             let node = self.servers[si].node();
-            let fx = self.servers[si].init(SimTime::ZERO);
-            for (t, e) in fx.schedule {
+            self.servers[si].init(SimTime::ZERO, &mut self.fx);
+            debug_assert!(self.fx.transmit.is_empty(), "boot transmits nothing");
+            for (t, e) in self.fx.schedule.drain(..) {
                 events.push((t, ClusterEvent::Server(node, e)));
             }
         }
@@ -580,17 +586,35 @@ impl ClusterSim {
         }
     }
 
+    /// Runs one kernel event on server `si` and applies its effects,
+    /// through the cluster's one reused [`Effects`] buffer.
+    fn handle_server(
+        &mut self,
+        now: SimTime,
+        si: usize,
+        event: NodeEvent,
+        queue: &mut EventQueue<ClusterEvent>,
+    ) {
+        let node = self.servers[si].node();
+        let mut fx = std::mem::take(&mut self.fx);
+        self.servers[si].handle(now, event, &mut fx);
+        self.apply_effects(now, node, &mut fx, queue);
+        self.fx = fx;
+    }
+
+    /// Schedules a server's follow-up events and routes its frames,
+    /// leaving `fx` empty with its capacity kept.
     fn apply_effects(
         &mut self,
         now: SimTime,
         node: NodeId,
-        fx: Effects,
+        fx: &mut Effects,
         queue: &mut EventQueue<ClusterEvent>,
     ) {
-        for (t, e) in fx.schedule {
+        for (t, e) in fx.schedule.drain(..) {
             queue.push(t, ClusterEvent::Server(node, e));
         }
-        for frame in fx.transmit {
+        for frame in fx.transmit.drain(..) {
             let bytes = frame.wire_len() as f64;
             if let Some(tr) = self.collector.as_mut() {
                 tr.on_tx(now, bytes);
@@ -668,9 +692,7 @@ impl ClusterSim {
                 tr.on_rx(now, bytes);
             }
             simtrace::metric_add("cluster", "bw_rx", now.as_nanos(), bytes);
-            let node = self.servers[si].node();
-            let fx = self.servers[si].handle(now, NodeEvent::FrameFromWire(frame));
-            self.apply_effects(now, node, fx, queue);
+            self.handle_server(now, si, NodeEvent::FrameFromWire(frame), queue);
         } else if self.faults.retx.enabled {
             self.on_client_response(now, &frame);
         } else {
@@ -1546,8 +1568,7 @@ impl EventHandler for ClusterSim {
         match event {
             ClusterEvent::Server(node, e) => {
                 let si = self.server_index(node).expect("event for a known server");
-                let fx = self.servers[si].handle(now, e);
-                self.apply_effects(now, node, fx, queue);
+                self.handle_server(now, si, e, queue);
             }
             ClusterEvent::ClientBurst { idx } => self.on_client_burst(now, idx, queue),
             ClusterEvent::Deliver { frame } => self.on_deliver(now, frame, queue),

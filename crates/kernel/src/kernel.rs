@@ -1,9 +1,9 @@
 //! The per-node kernel: event handlers tying every substrate together.
 //!
 //! See the crate docs for the model. The kernel is driven through
-//! [`Kernel::handle`]; every handler returns [`Effects`] — follow-up
-//! events for this node plus frames leaving on the wire (which the
-//! cluster routes through the switch).
+//! [`Kernel::handle`]; every handler appends to a caller-owned
+//! [`Effects`] — follow-up events for this node plus frames leaving on
+//! the wire (which the cluster routes through the switch).
 
 use crate::app::{AppPhase, RequestInfo, ServerApp};
 use crate::config::{KernelConfig, ShedPolicy};
@@ -97,7 +97,10 @@ impl NodeEvent {
     }
 }
 
-/// What a handler wants done next.
+/// What a handler wants done next. The caller owns it and reuses it
+/// across events: [`Kernel::init`] and [`Kernel::handle`] only append,
+/// so the caller empties it (with `drain(..)`, keeping the capacity)
+/// before the next event.
 #[derive(Debug, Default)]
 pub struct Effects {
     /// Events to schedule on this node at absolute instants.
@@ -336,6 +339,10 @@ pub struct Kernel {
     req_traces: HashMap<u64, RequestTrace>,
     finished_traces: Vec<RequestTrace>,
     next_token: u64,
+    /// Zero-filled slab every response body is a slice of, so emitting a
+    /// response allocates no body. Regrown (to the next power of two)
+    /// only when a response is larger than any before it.
+    zeros: Bytes,
     tx_backlog: VecDeque<Packet>,
     completed_responses: u64,
     wake_marker_times: Vec<SimTime>,
@@ -441,6 +448,7 @@ impl Kernel {
             req_traces: HashMap::new(),
             finished_traces: Vec::new(),
             next_token: 0,
+            zeros: Bytes::new(),
             tx_backlog: VecDeque::new(),
             completed_responses: 0,
             wake_marker_times: Vec::new(),
@@ -467,14 +475,13 @@ impl Kernel {
     /// Boots the node: applies the static governor (or schedules the
     /// dynamic one), arms the MITT and the `ncap.sw` timer, and lets idle
     /// cores consult cpuidle.
-    pub fn init(&mut self, now: SimTime) -> Effects {
-        let mut fx = Effects::default();
+    pub fn init(&mut self, now: SimTime, fx: &mut Effects) {
         match self.cpufreq.period() {
             None => {
                 self.desired_pstate =
                     self.cpufreq
                         .target(now, 0.0, self.cfg.initial_pstate, &self.table);
-                self.apply_pstates(now, &mut fx);
+                self.apply_pstates(now, fx);
             }
             Some(p) => {
                 self.last_gov_sample = now;
@@ -495,7 +502,6 @@ impl Kernel {
                 self.idle_enter(now, ci);
             }
         }
-        fx
     }
 
     /// Bills package/uncore power for the interval since the last event,
@@ -532,12 +538,12 @@ impl Kernel {
         self.uncore.accumulate(PowerMode::Uncore, w, dt);
     }
 
-    /// Handles one event. The single entry point for the event loop.
-    pub fn handle(&mut self, now: SimTime, event: NodeEvent) -> Effects {
+    /// Handles one event, appending its effects to `fx`. The single
+    /// entry point for the event loop.
+    pub fn handle(&mut self, now: SimTime, event: NodeEvent, fx: &mut Effects) {
         self.sync_uncore(now);
-        let mut fx = Effects::default();
         match event {
-            NodeEvent::FrameFromWire(frame) => self.on_frame_from_wire(now, frame, &mut fx),
+            NodeEvent::FrameFromWire(frame) => self.on_frame_from_wire(now, frame, fx),
             NodeEvent::RxDmaComplete { queue } => {
                 if let Some((deadline, gen)) = self.nic.rx_dma_complete(now, queue as usize) {
                     fx.at(deadline, NodeEvent::ModerationDelay { queue, gen });
@@ -545,21 +551,20 @@ impl Kernel {
             }
             NodeEvent::ModerationDelay { queue, gen } => {
                 if self.nic.delay_expired(now, queue as usize, gen) {
-                    self.deliver_irq(now, queue as usize, &mut fx);
+                    self.deliver_irq(now, queue as usize, fx);
                 }
             }
-            NodeEvent::MittExpired => self.on_mitt(now, &mut fx),
-            NodeEvent::JobDone { core, gen } => self.on_job_done(now, core as usize, gen, &mut fx),
+            NodeEvent::MittExpired => self.on_mitt(now, fx),
+            NodeEvent::JobDone { core, gen } => self.on_job_done(now, core as usize, gen, fx),
             NodeEvent::WakeDone { core, gen } => {
-                self.on_wake_done(now, core as usize, gen, &mut fx);
+                self.on_wake_done(now, core as usize, gen, fx);
             }
-            NodeEvent::GovernorTick => self.on_governor_tick(now, &mut fx),
-            NodeEvent::NcapSwTimer => self.on_sw_timer(now, &mut fx),
-            NodeEvent::IoDone { token } => self.advance_request(now, token, &mut fx),
-            NodeEvent::TxWire { frame } => self.on_tx_wire(now, frame, &mut fx),
-            NodeEvent::PollRx { queue } => self.on_poll_rx(now, queue as usize, &mut fx),
+            NodeEvent::GovernorTick => self.on_governor_tick(now, fx),
+            NodeEvent::NcapSwTimer => self.on_sw_timer(now, fx),
+            NodeEvent::IoDone { token } => self.advance_request(now, token, fx),
+            NodeEvent::TxWire { frame } => self.on_tx_wire(now, frame, fx),
+            NodeEvent::PollRx { queue } => self.on_poll_rx(now, queue as usize, fx),
         }
-        fx
     }
 
     /// Cores dedicated to busy-polling (the lowest-numbered ones); zero
@@ -1401,7 +1406,10 @@ impl Kernel {
             sent_at,
             stages,
         } = response;
-        let body = Bytes::from(vec![0u8; bytes]);
+        if bytes > self.zeros.len() {
+            self.zeros = Bytes::from(vec![0u8; bytes.next_power_of_two()]);
+        }
+        let body = self.zeros.slice(..bytes);
         let mut frames = segment_response(self.node, dst, request_id, body, sent_at);
         // The attribution record rides the final frame — the one whose
         // arrival completes the request at the client.
@@ -1845,26 +1853,31 @@ mod tests {
         )
     }
 
+    /// Boots a kernel, returning the effects buffer the test then seeds
+    /// with arrivals and hands to [`drain`].
+    pub(super) fn boot(kernel: &mut Kernel) -> Effects {
+        let mut fx = Effects::default();
+        kernel.init(SimTime::ZERO, &mut fx);
+        fx
+    }
+
     /// Drives a kernel to quiescence, collecting transmitted frames.
+    /// `fx` is the one buffer every event of the run appends into.
     pub(super) fn drain(kernel: &mut Kernel, mut fx: Effects, horizon: SimTime) -> Vec<Packet> {
         let mut queue: desim::EventQueue<NodeEvent> = desim::EventQueue::new();
         let mut out = Vec::new();
-        for (t, e) in fx.schedule.drain(..) {
-            queue.push(t, e);
-        }
-        out.extend(fx.transmit);
-        while let Some(t) = queue.peek_time() {
-            if t > horizon {
-                break;
+        loop {
+            for (t, e) in fx.schedule.drain(..) {
+                queue.push(t, e);
+            }
+            out.append(&mut fx.transmit);
+            match queue.peek_time() {
+                Some(t) if t <= horizon => {}
+                _ => return out,
             }
             let (t, e) = queue.pop().expect("peeked");
-            let mut fx = kernel.handle(t, e);
-            for (te, e) in fx.schedule.drain(..) {
-                queue.push(te, e);
-            }
-            out.extend(fx.transmit);
+            kernel.handle(t, e, &mut fx);
         }
-        out
     }
 
     pub(super) fn get_frame(id: u64) -> Packet {
@@ -1880,8 +1893,7 @@ mod tests {
     #[test]
     fn request_produces_segmented_response() {
         let mut k = stub_kernel(None);
-        let fx = k.init(SimTime::ZERO);
-        let mut queue_fx = fx;
+        let mut queue_fx = boot(&mut k);
         queue_fx
             .schedule
             .push((SimTime::from_us(10), NodeEvent::FrameFromWire(get_frame(7))));
@@ -1897,7 +1909,7 @@ mod tests {
     #[test]
     fn io_phase_releases_the_core() {
         let mut k = stub_kernel(Some(SimDuration::from_us(500)));
-        let mut fx = k.init(SimTime::ZERO);
+        let mut fx = boot(&mut k);
         fx.schedule
             .push((SimTime::from_us(10), NodeEvent::FrameFromWire(get_frame(1))));
         let frames = drain(&mut k, fx, SimTime::from_ms(5));
@@ -1915,7 +1927,7 @@ mod tests {
     #[test]
     fn non_request_payloads_are_dropped_by_the_app() {
         let mut k = stub_kernel(None);
-        let mut fx = k.init(SimTime::ZERO);
+        let mut fx = boot(&mut k);
         let bulk = Packet::new(
             NodeId(1),
             NodeId(0),
@@ -1950,7 +1962,7 @@ mod tests {
                 io: None,
             }),
         );
-        let mut fx = k.init(SimTime::ZERO);
+        let mut fx = boot(&mut k);
         fx.schedule
             .push((SimTime::from_ms(2), NodeEvent::FrameFromWire(get_frame(1))));
         let frames = drain(&mut k, fx, SimTime::from_ms(4));
@@ -1984,7 +1996,7 @@ mod tests {
             }),
         );
         assert_eq!(k.desired_pstate(), table.deepest());
-        let mut fx = k.init(SimTime::ZERO);
+        let mut fx = boot(&mut k);
         // A stream of heavy requests across the first 50 ms.
         for i in 0..200u64 {
             fx.schedule.push((
@@ -2003,7 +2015,7 @@ mod tests {
     #[test]
     fn stats_count_kernel_activity() {
         let mut k = stub_kernel(None);
-        let mut fx = k.init(SimTime::ZERO);
+        let mut fx = boot(&mut k);
         fx.schedule
             .push((SimTime::from_us(10), NodeEvent::FrameFromWire(get_frame(1))));
         let _ = drain(&mut k, fx, SimTime::from_ms(5));
@@ -2030,7 +2042,7 @@ mod tests {
                 io: Some(SimDuration::from_ms(1)),
             }),
         );
-        let mut fx = k.init(SimTime::ZERO);
+        let mut fx = boot(&mut k);
         // The duplicate lands while the original is still in its IO
         // phase: it must be dropped without a second app job.
         fx.schedule
@@ -2064,7 +2076,7 @@ mod tests {
                 io: None,
             }),
         );
-        let mut fx = k.init(SimTime::ZERO);
+        let mut fx = boot(&mut k);
         fx.schedule
             .push((SimTime::from_us(10), NodeEvent::FrameFromWire(get_frame(7))));
         // Retransmit long after the response went out (it was "lost").
@@ -2088,7 +2100,7 @@ mod tests {
     #[test]
     fn unreliable_kernel_serves_duplicates_twice() {
         let mut k = stub_kernel(None);
-        let mut fx = k.init(SimTime::ZERO);
+        let mut fx = boot(&mut k);
         fx.schedule
             .push((SimTime::from_us(10), NodeEvent::FrameFromWire(get_frame(7))));
         fx.schedule
@@ -2098,6 +2110,55 @@ mod tests {
         assert_eq!(frames.len(), 6);
         assert_eq!(k.completed_responses(), 2);
         assert_eq!(k.stats().dup_suppressed, 0);
+    }
+
+    #[test]
+    fn response_bodies_are_slices_of_one_zero_slab() {
+        let mut k = stub_kernel(None);
+        let mut fx = boot(&mut k);
+        // 20 KB outgrows the 4 KB slab; 1 KB and 0 B reuse the regrown one.
+        let sizes = [4_096, 20_480, 1_024, 0];
+        let slab_lens = [4_096, 32_768, 32_768, 32_768];
+        for (id, (&bytes, &slab_len)) in (0u64..).zip(sizes.iter().zip(&slab_lens)) {
+            let stages = netsim::StageRecord {
+                cpu_ns: 1_000 + id as u32,
+                ..netsim::StageRecord::default()
+            };
+            let response = Response {
+                dst: NodeId(1),
+                request_id: id,
+                bytes,
+                sent_at: SimTime::ZERO,
+                stages,
+            };
+            k.emit_response(SimTime::ZERO, response, &mut fx);
+            assert_eq!(k.zeros.len(), slab_len, "slab after a {bytes} B body");
+        }
+        let frames = drain(&mut k, fx, SimTime::from_ms(5));
+        for (id, &bytes) in (0u64..).zip(&sizes) {
+            let mine: Vec<&Packet> = frames
+                .iter()
+                .filter(|f| f.meta().request_id == Some(id))
+                .collect();
+            let total: usize = mine.iter().map(|f| f.payload().len()).sum();
+            assert_eq!(total, bytes, "payloads of request {id} tile its body");
+            assert!(mine.iter().all(|f| f.payload().iter().all(|&b| b == 0)));
+            let seqs: Vec<u32> = mine.iter().map(|f| f.meta().seq).collect();
+            assert_eq!(seqs, (0..mine.len() as u32).collect::<Vec<_>>());
+            let (last, rest) = mine.split_last().expect("at least one frame");
+            assert!(last.meta().is_final);
+            assert_eq!(last.meta().stages.cpu_ns, 1_000 + id as u32);
+            for f in rest {
+                assert!(!f.meta().is_final);
+                assert_eq!(f.meta().stages, netsim::StageRecord::default());
+            }
+        }
+        // The 1 KB body points into the live slab: no private allocation.
+        let small = frames
+            .iter()
+            .find(|f| f.meta().request_id == Some(2))
+            .expect("1 KB response sent");
+        assert_eq!(small.payload().as_ptr(), k.zeros.as_ptr());
     }
 
     #[test]
@@ -2111,7 +2172,7 @@ mod tests {
 
 #[cfg(test)]
 mod overload_tests {
-    use super::tests::{drain, get_frame};
+    use super::tests::{boot, drain, get_frame};
     use super::*;
     use crate::app::AppPlan;
     use crate::config::{KernelConfig, OverloadConfig, ShedPolicy};
@@ -2176,7 +2237,7 @@ mod overload_tests {
             .with_run_queue_cap(8)
             .with_policy(ShedPolicy::DropTail);
         let mut k = shed_kernel(ov, false, false);
-        let mut fx = k.init(SimTime::ZERO);
+        let mut fx = boot(&mut k);
         let ids: Vec<u64> = (1..=8).collect();
         burst(&mut fx, SimTime::from_us(10), &ids);
         let frames = drain(&mut k, fx, SimTime::from_ms(5));
@@ -2197,7 +2258,7 @@ mod overload_tests {
                 .with_policy(ShedPolicy::DropTail)
         };
         let mut k = shed_kernel(ov, false, false);
-        let mut fx = k.init(SimTime::ZERO);
+        let mut fx = boot(&mut k);
         let ids: Vec<u64> = (1..=9).collect();
         burst(&mut fx, SimTime::from_us(10), &ids);
         let frames = drain(&mut k, fx, SimTime::from_ms(5));
@@ -2227,7 +2288,7 @@ mod overload_tests {
             .with_run_queue_cap(0)
             .with_policy(ShedPolicy::DropTail);
         let mut k = shed_kernel(ov, false, true);
-        let mut fx = k.init(SimTime::ZERO);
+        let mut fx = boot(&mut k);
         fx.schedule
             .push((SimTime::from_ms(2), NodeEvent::FrameFromWire(get_frame(1))));
         // mwait_wake_overhead is 25 us: this frame arrives mid-wake.
@@ -2255,7 +2316,7 @@ mod overload_tests {
             .with_run_queue_cap(2)
             .with_policy(ShedPolicy::DropTail);
         let mut k = shed_kernel(ov, true, false);
-        let mut fx = k.init(SimTime::ZERO);
+        let mut fx = boot(&mut k);
         burst(&mut fx, SimTime::from_us(10), &[99, 1, 2]);
         fx.schedule
             .push((SimTime::from_ms(3), NodeEvent::FrameFromWire(get_frame(99))));
@@ -2273,7 +2334,7 @@ mod overload_tests {
     fn zero_deadline_requests_are_always_shed() {
         let ov = OverloadConfig::off().with_policy(ShedPolicy::Deadline);
         let mut k = shed_kernel(ov, false, false);
-        let mut fx = k.init(SimTime::ZERO);
+        let mut fx = boot(&mut k);
         // Any queueing delay exceeds a zero budget.
         fx.schedule.push((
             SimTime::from_us(10),
@@ -2299,7 +2360,7 @@ mod overload_tests {
             .with_policy(ShedPolicy::Deadline)
             .with_default_deadline(SimDuration::from_us(5));
         let mut k = shed_kernel(ov, false, false);
-        let mut fx = k.init(SimTime::ZERO);
+        let mut fx = boot(&mut k);
         // get_frame stamps sent_at = 1 us; arriving at 10 us exceeds the
         // 5 us default budget.
         fx.schedule
@@ -2383,7 +2444,7 @@ mod overload_tests {
             ..OverloadConfig::off()
         };
         let mut k = shed_kernel(ov, false, false);
-        let mut fx = k.init(SimTime::ZERO);
+        let mut fx = boot(&mut k);
         let ids: Vec<u64> = (1..=16).collect();
         burst(&mut fx, SimTime::from_us(10), &ids);
         let _ = drain(&mut k, fx, SimTime::from_ms(5));
@@ -2400,6 +2461,7 @@ mod overload_tests {
 
 #[cfg(test)]
 mod trace_tests {
+    use super::tests::{boot, drain};
     use super::*;
     use crate::app::{AppPhase, AppPlan};
     use crate::config::KernelConfig;
@@ -2439,22 +2501,11 @@ mod trace_tests {
             Box::new(PollIdle),
             Box::new(OneShotApp),
         );
-        let mut queue: desim::EventQueue<NodeEvent> = desim::EventQueue::new();
-        let fx = k.init(SimTime::ZERO);
-        for (t, e) in fx.schedule {
-            queue.push(t, e);
-        }
+        let mut fx = boot(&mut k);
         let frame = Packet::request(NodeId(1), NodeId(0), 42, HttpRequest::get("/").to_payload());
-        queue.push(SimTime::from_us(10), NodeEvent::FrameFromWire(frame));
-        while let Some((t, e)) = queue.pop() {
-            if t > SimTime::from_ms(10) {
-                break;
-            }
-            let fx = k.handle(t, e);
-            for (te, ev) in fx.schedule {
-                queue.push(te, ev);
-            }
-        }
+        fx.schedule
+            .push((SimTime::from_us(10), NodeEvent::FrameFromWire(frame)));
+        let _ = drain(&mut k, fx, SimTime::from_ms(10));
         let traces = k.request_traces();
         assert_eq!(traces.len(), 1, "the request must finish tracing");
         let tr = traces[0];

@@ -63,7 +63,10 @@ impl Bytes {
         }
     }
 
-    /// Copies a slice into a new shared buffer.
+    /// Copies a slice into a new shared buffer. It goes through
+    /// `From<Vec<u8>>`, so every call allocates and copies into a new
+    /// `Arc<[u8]>`; hot paths should [`slice`](Bytes::slice) a shared
+    /// buffer instead.
     #[must_use]
     pub fn copy_from_slice(data: &[u8]) -> Self {
         Bytes::from(data.to_vec())
@@ -143,6 +146,11 @@ impl AsRef<[u8]> for Bytes {
     }
 }
 
+/// Moves the vector into a new `Arc<[u8]>`. That allocates again and
+/// copies every byte (an `Arc` keeps its refcounts in front of the data,
+/// so it cannot adopt the vector's buffer). Hot paths that would build a
+/// fresh body per packet should instead [`slice`](Bytes::slice) one
+/// shared buffer, as the kernel does for its zero-filled response bodies.
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let len = v.len();

@@ -70,7 +70,12 @@ impl LatencySummary {
 }
 
 impl fmt::Display for LatencySummary {
+    /// One line of percentiles, or a plain note when nothing completed:
+    /// the percentiles of an empty summary read 0 and would mislead.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.count == 0 {
+            return write!(f, "n=0 (no completed requests)");
+        }
         write!(
             f,
             "n={} mean={:.1}us p50={:.1}us p90={:.1}us p95={:.1}us p99={:.1}us max={:.1}us",
@@ -124,6 +129,7 @@ mod tests {
             !s.meets_sla(u64::MAX),
             "a run that completed nothing meets no SLA"
         );
+        assert_eq!(s.to_string(), "n=0 (no completed requests)");
     }
 
     #[test]

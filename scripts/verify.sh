@@ -155,11 +155,13 @@ echo "==> chaos smoke ok ($chaos_dir)"
 # BENCH_6.json).
 run scripts/bench_record.sh --smoke
 
-# Benchmark health smoke: one-second perfbench runs of the memcached
-# knee workload and of the 12-backend JSQ fleet (where the event queue
-# dominates) must pass their own health gate (every sub-seed healthy,
-# repeats simulate identically), which each reports on its last line.
-for workload in mc_knee fleet_jsq; do
+# Benchmark health smoke: one-second perfbench runs of every workload —
+# the memcached knee, the apache bursts (~1,400-deep run queues, where
+# kernel handling dominates) and the 12-backend JSQ fleet (where the
+# event queue dominates) — must pass their own health gate (every
+# sub-seed healthy, repeats simulate identically), which each reports on
+# its last line.
+for workload in mc_knee apache_burst fleet_jsq; do
     perf_out=$(run cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 7 --seconds 1 --trace 0)
     echo "$perf_out" | tail -1 | grep -q '"correct": true' ||
