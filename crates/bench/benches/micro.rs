@@ -1,9 +1,10 @@
 //! Self-timed microbenchmarks: the simulator's own performance.
 //!
 //! Not a paper artifact — these guard the harness's throughput so the
-//! figure-regeneration benches stay fast: event-queue ops, packet
-//! construction + ReqMonitor inspection, DecisionEngine window handling,
-//! and end-to-end simulated-seconds-per-wall-second for a small cluster.
+//! figure-regeneration benches stay fast: event-queue ops (with `u64`
+//! and 192-byte payloads), packet construction + ReqMonitor inspection,
+//! DecisionEngine window handling, and end-to-end
+//! simulated-seconds-per-wall-second for a small cluster.
 //!
 //! `harness = false`, no external framework: each case is calibrated to
 //! a per-round wall-clock budget, run for several rounds, and the best
@@ -60,19 +61,26 @@ fn bench<R>(name: &str, mut f: impl FnMut() -> R) {
     );
 }
 
+/// Pushes 1,000 events in scrambled time order, then pops them all.
+fn push_pop_1k<E>(event: impl Fn(u64) -> E, value: impl Fn(E) -> u64) -> u64 {
+    let mut q = EventQueue::with_capacity(1024);
+    for i in 0..1_000u64 {
+        q.push(SimTime::from_nanos((i * 7919) % 10_000), event(i));
+    }
+    let mut sum = 0u64;
+    while let Some((_, v)) = q.pop() {
+        sum = sum.wrapping_add(value(v));
+    }
+    sum
+}
+
 fn main() {
     ncap_bench::header("micro", "no paper section — simulator self-timing");
 
-    bench("event_queue_push_pop_1k", || {
-        let mut q = EventQueue::with_capacity(1024);
-        for i in 0..1_000u64 {
-            q.push(SimTime::from_nanos((i * 7919) % 10_000), i);
-        }
-        let mut sum = 0u64;
-        while let Some((_, v)) = q.pop() {
-            sum = sum.wrapping_add(v);
-        }
-        sum
+    bench("event_queue_push_pop_1k", || push_pop_1k(|i| i, |v| v));
+    // A 192-byte payload: the size of the simulator's own `ClusterEvent`.
+    bench("event_queue_push_pop_1k_192b", || {
+        push_pop_1k(|i| [i as u8; 192], |v| u64::from(v[191]))
     });
 
     let mut monitor = ReqMonitor::new();

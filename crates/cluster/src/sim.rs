@@ -1272,6 +1272,7 @@ impl ClusterSim {
         let acc = self.accounting_view();
         let ledger = self.fleet.as_ref().map(|f| f.lb.ledger());
         wd.check(now, &self.servers, &acc, ledger.as_ref());
+        wd.check_queue(now, queue.audit());
         queue.push(now + wd.period(), ClusterEvent::Watchdog);
         self.watchdog = Some(wd);
     }

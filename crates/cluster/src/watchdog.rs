@@ -27,7 +27,9 @@ pub enum InvariantKind {
     /// check periods while every core sat idle and none was mid-wake.
     Liveness,
     /// The accounting identity
-    /// `issued == completed + lost + rejected + in_flight` broke.
+    /// `issued == completed + lost + rejected + in_flight` broke, the
+    /// LB ledger did not balance, or the event queue's own ledger
+    /// failed its audit.
     Conservation,
     /// A queue exceeded its configured capacity bound.
     Boundedness,
@@ -267,6 +269,16 @@ impl Watchdog {
                 ),
             );
             self.seen_misroutes = accounting.misroutes;
+        }
+    }
+
+    /// Event-queue ledger: `audit` is the result of
+    /// [`desim::EventQueue::audit`], taken alongside each periodic
+    /// [`check`](Self::check). A broken ledger is a conservation
+    /// violation; a healthy one records nothing.
+    pub fn check_queue(&mut self, now: SimTime, audit: Result<(), String>) {
+        if let Err(detail) = audit {
+            self.violate(InvariantKind::Conservation, now, detail);
         }
     }
 
@@ -536,6 +548,25 @@ mod tests {
         assert_eq!(w.violations().len(), 1);
         assert_eq!(w.violations()[0].kind, InvariantKind::Conservation);
         assert_eq!(w.checks(), 2);
+    }
+
+    #[test]
+    fn broken_queue_ledger_is_a_conservation_violation() {
+        let mut w = Watchdog::new(WatchdogConfig::default().collecting());
+        w.check_queue(SimTime::from_ms(1), Ok(()));
+        assert!(w.violations().is_empty());
+        w.check_queue(
+            SimTime::from_ms(2),
+            Err("event-queue slab broken: 3 slots != pending 1 + free 1".into()),
+        );
+        assert_eq!(w.violations().len(), 1);
+        assert_eq!(w.violations()[0].kind, InvariantKind::Conservation);
+        assert!(w.violations()[0].detail.contains("slab broken"));
+        assert_eq!(
+            w.checks(),
+            0,
+            "the queue audit rides along; it is not a check"
+        );
     }
 
     #[test]

@@ -11,6 +11,9 @@
 //!
 //! * [`EventQueue`] orders events by `(time, insertion sequence)`, so
 //!   simultaneous events always fire in the order they were scheduled.
+//!   Its binary heap holds only 24-byte `(time, seq, slot)` keys; the
+//!   events wait in a slot slab beside it, so a sift never copies an
+//!   event, whatever its size.
 //! * [`SplitMix64`] is the only source of randomness: a tiny,
 //!   dependency-free deterministic RNG that every layer seeds from the
 //!   experiment configuration, from internal jitter up to workload

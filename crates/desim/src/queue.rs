@@ -5,36 +5,40 @@
 //! events scheduled for the same instant are delivered in scheduling order.
 //! This tie-break is what makes whole-simulation runs bit-reproducible.
 //!
-//! The queue is a `std::collections::BinaryHeap` min-heap plus the
-//! counters that make it auditable: they obey the conservation identity
-//! `total_pushed == total_popped + total_cleared + len` at every instant.
+//! The queue is a `std::collections::BinaryHeap` min-heap of 24-byte
+//! `(time, seq, slot)` keys. The events themselves wait in a slot slab
+//! beside it — a `Vec<Option<E>>` plus a LIFO free list of slot indices —
+//! so a sift moves keys only, however large `E` is. Counters make the
+//! queue auditable: `total_pushed == total_popped + total_cleared + len`
+//! at every instant, and every slab slot is either pending or free.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// A scheduled entry. The derived comparisons below are *reversed* so a
-/// `std::collections::BinaryHeap<Entry<E>>` acts as a min-heap.
-struct Entry<E> {
+/// A scheduled key: the event waits in `slots[slot]`. The derived
+/// comparisons below are *reversed* so a `BinaryHeap<Entry>` acts as a
+/// min-heap.
+struct Entry {
     time: SimTime,
     seq: u64,
-    event: E,
+    slot: u32,
 }
 
-impl<E> PartialEq for Entry<E> {
+impl PartialEq for Entry {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.seq == other.seq
     }
 }
-impl<E> Eq for Entry<E> {}
+impl Eq for Entry {}
 
-impl<E> PartialOrd for Entry<E> {
+impl PartialOrd for Entry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<E> Ord for Entry<E> {
+impl Ord for Entry {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: the earliest (time, seq) is the heap maximum.
         (other.time, other.seq).cmp(&(self.time, self.seq))
@@ -60,7 +64,12 @@ impl<E> Ord for Entry<E> {
 /// assert_eq!(order, ['a', 'b', 'c']);
 /// ```
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    heap: BinaryHeap<Entry>,
+    /// The slot slab: `Some` for every pending event, `None` for every
+    /// slot on `free`.
+    slots: Vec<Option<E>>,
+    /// Empty slots, reused last-freed first.
+    free: Vec<u32>,
     /// Events ever pushed; doubles as the next entry's FIFO sequence
     /// number (never reset, so FIFO stays monotonic across a clear).
     pushed: u64,
@@ -86,6 +95,8 @@ impl<E> EventQueue<E> {
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(capacity),
+            slots: Vec::with_capacity(capacity),
+            free: Vec::with_capacity(capacity),
             pushed: 0,
             popped: 0,
             cleared: 0,
@@ -96,14 +107,30 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.pushed;
         self.pushed += 1;
-        self.heap.push(Entry { time, seq, event });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                let slot =
+                    u32::try_from(self.slots.len()).expect("more than u32::MAX pending events");
+                self.slots.push(Some(event));
+                slot
+            }
+        };
+        self.heap.push(Entry { time, seq, slot });
     }
 
     /// Removes and returns the earliest event, or `None` when empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.heap.pop()?;
+        let Entry { time, slot, .. } = self.heap.pop()?;
+        let event = self.slots[slot as usize]
+            .take()
+            .expect("pending key points at an empty slot");
+        self.free.push(slot);
         self.popped += 1;
-        Some((entry.time, entry.event))
+        Some((time, event))
     }
 
     /// Pops every event scheduled at or before `bound` — at most `max`
@@ -168,26 +195,36 @@ impl<E> EventQueue<E> {
     }
 
     /// Audits the queue's conservation identity
-    /// `total_pushed == total_popped + total_cleared + len`. A pure
-    /// observation — safe to call at any instant, including mid-run.
+    /// `total_pushed == total_popped + total_cleared + len` and its slab
+    /// ledger `slots == len + free` (every slot is pending or free). A
+    /// pure O(1) observation — safe to call at any instant, including
+    /// mid-run.
     ///
     /// # Errors
     ///
-    /// Returns a description of the imbalance if the identity is broken
-    /// (which would indicate a bug in the queue itself, not the model).
+    /// Returns a description of the imbalance if either identity is
+    /// broken (which would indicate a bug in the queue itself, not the
+    /// model).
     pub fn audit(&self) -> Result<(), String> {
         let resolved = self.popped + self.cleared + self.len() as u64;
-        if self.pushed == resolved {
-            Ok(())
-        } else {
-            Err(format!(
+        if self.pushed != resolved {
+            return Err(format!(
                 "event-queue ledger broken: pushed {} != popped {} + cleared {} + pending {}",
                 self.pushed,
                 self.popped,
                 self.cleared,
                 self.len()
-            ))
+            ));
         }
+        if self.slots.len() != self.len() + self.free.len() {
+            return Err(format!(
+                "event-queue slab broken: {} slots != pending {} + free {}",
+                self.slots.len(),
+                self.len(),
+                self.free.len()
+            ));
+        }
+        Ok(())
     }
 
     /// Drops all pending events. The dropped count moves to
@@ -197,6 +234,8 @@ impl<E> EventQueue<E> {
     pub fn clear(&mut self) {
         self.cleared += self.len() as u64;
         self.heap.clear();
+        self.slots.clear();
+        self.free.clear();
     }
 }
 
@@ -350,6 +389,13 @@ mod tests {
         }
     }
 
+    /// The heap sifts keys only: an event never moves back into it, so
+    /// an entry stays 24 bytes whatever the event type.
+    #[test]
+    fn heap_entry_is_a_24_byte_key() {
+        assert_eq!(std::mem::size_of::<Entry>(), 24);
+    }
+
     #[test]
     fn debug_is_nonempty() {
         let q: EventQueue<u8> = EventQueue::new();
@@ -421,7 +467,9 @@ mod tests {
     /// `pop_batch_until` and `clear` run against a plain `Vec` that
     /// pops the minimum by `(time, push ordinal)`. Every popped item,
     /// `peek_time`, `len`, counter and `audit()` must match the model
-    /// after every operation.
+    /// after every operation, and the slot slab must stay exact: each
+    /// pending key's slot holds an event, each free slot is empty, and
+    /// the slab never outgrows the largest pending count seen.
     #[test]
     fn prop_interleaved() {
         Check::new("event_queue_matches_vec_model")
@@ -440,6 +488,7 @@ mod tests {
                     let (mut pushed, mut popped, mut cleared) = (0u64, 0u64, 0u64);
                     let mut clock = SimTime::ZERO;
                     let mut batch = Vec::new();
+                    let mut max_pending = 0;
                     for (step, &op) in ops.iter().enumerate() {
                         match op {
                             Op::Push(offset) => {
@@ -500,6 +549,20 @@ mod tests {
                             "step {step}: counters {q:?}, model ({pushed}, {popped}, {cleared})"
                         );
                         ensure!(q.audit().is_ok(), "step {step}: {:?}", q.audit());
+                        max_pending = max_pending.max(model.len());
+                        ensure!(
+                            q.heap.iter().all(|k| q.slots.get(k.slot as usize).is_some_and(Option::is_some)),
+                            "step {step}: a pending key points at a missing or empty slot"
+                        );
+                        ensure!(
+                            q.free.iter().all(|&f| q.slots.get(f as usize).is_some_and(Option::is_none)),
+                            "step {step}: a free slot is missing or still holds an event"
+                        );
+                        ensure!(
+                            q.slots.len() <= max_pending,
+                            "step {step}: slab holds {} slots, pending never exceeded {max_pending}",
+                            q.slots.len()
+                        );
                     }
                     Ok(())
                 },
