@@ -6,11 +6,10 @@
 //! To model bursty datacenter traffic, each client "periodically sends a
 //! burst of requests" with the period set by the target load level.
 
-use desim::{SimDuration, SimTime, SplitMix64};
-use netsim::http::{HttpRequest, MemcachedRequest};
+use desim::{IdMap, SimDuration, SimTime, SplitMix64};
+use netsim::http::{write_http_request, write_memcached_request, HttpMethod};
 use netsim::{Bytes, NodeId, Packet};
 use simstats::LogHistogram;
-use std::collections::HashMap;
 
 /// The arrival process a client uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,7 +149,13 @@ pub struct OpenLoopClient {
     rng: SplitMix64,
     next_id: u64,
     bursts_sent: u64,
+    /// Request payloads are rendered here, then copied once into their
+    /// own `Bytes`; the buffer keeps its capacity across requests.
+    scratch: Vec<u8>,
 }
+
+/// The payload of every bulk frame: one full segment of filler.
+static BULK_PAYLOAD: [u8; netsim::packet::MSS] = [0xA5; netsim::packet::MSS];
 
 impl OpenLoopClient {
     /// Creates the client.
@@ -163,6 +168,7 @@ impl OpenLoopClient {
             rng,
             next_id,
             bursts_sent: 0,
+            scratch: Vec::new(),
         }
     }
 
@@ -173,31 +179,36 @@ impl OpenLoopClient {
     }
 
     fn payload(&mut self, seq: u64) -> Bytes {
+        let out = &mut self.scratch;
+        out.clear();
         match self.config.workload {
             Workload::ApacheGet => {
                 let doc = self.rng.next_below(10_000);
-                HttpRequest::get(format!("/doc/{doc}.html")).to_payload()
+                write_http_request(out, HttpMethod::Get, format_args!("/doc/{doc}.html"));
             }
             Workload::MemcachedGet => {
                 let key = self.rng.next_below(1_000_000);
-                MemcachedRequest::get(format!("user:{key}")).to_payload()
+                write_memcached_request(out, format_args!("user:{key}"), None);
             }
             Workload::ApachePut => {
-                HttpRequest::put(format!("/doc/{}.html", seq % 10_000)).to_payload()
+                let doc = seq % 10_000;
+                write_http_request(out, HttpMethod::Put, format_args!("/doc/{doc}.html"));
             }
-            Workload::Bulk => Bytes::from(vec![0xA5u8; netsim::packet::MSS]),
+            Workload::Bulk => return Bytes::from_static(&BULK_PAYLOAD),
         }
+        Bytes::copy_from_slice(out)
     }
 
     /// Emits the traffic due at `now` (a burst, or a single Poisson
-    /// arrival). Returns the request frames (to be injected into the
-    /// network at `now`) and the next emission instant.
-    pub fn next_burst(&mut self, now: SimTime) -> (Vec<Packet>, SimTime) {
+    /// arrival): appends the request frames (to be injected into the
+    /// network at `now`) to `frames` and returns the next emission
+    /// instant. The caller owns `frames` and empties it between calls.
+    pub fn next_burst(&mut self, now: SimTime, frames: &mut Vec<Packet>) -> SimTime {
         let count = match self.config.arrival {
             Arrival::Bursty => self.config.burst_size,
             Arrival::Poisson => 1,
         };
-        let mut frames = Vec::with_capacity(count as usize);
+        frames.reserve(count as usize);
         for _ in 0..count {
             let id = self.next_id;
             self.next_id += 1;
@@ -239,7 +250,7 @@ impl OpenLoopClient {
                 desim::SimDuration::from_secs_f64(self.rng.next_exp(mean))
             }
         };
-        (frames, now + gap)
+        now + gap
     }
 
     /// Bursts emitted so far.
@@ -257,7 +268,7 @@ impl OpenLoopClient {
 #[derive(Debug, Default)]
 pub struct ResponseTracker {
     latencies: LogHistogram,
-    outstanding: HashMap<u64, ()>,
+    outstanding: IdMap<u64, ()>,
     completed: u64,
     rejected: u64,
 }
@@ -342,7 +353,15 @@ impl ResponseTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::http::{HttpRequest, MemcachedRequest};
     use netsim::tcp::segment_response;
+
+    /// One `next_burst` into a fresh buffer.
+    fn burst(c: &mut OpenLoopClient, now: SimTime) -> (Vec<Packet>, SimTime) {
+        let mut frames = Vec::new();
+        let next = c.next_burst(now, &mut frames);
+        (frames, next)
+    }
 
     fn apache_client() -> OpenLoopClient {
         OpenLoopClient::new(ClientConfig::apache(
@@ -357,7 +376,7 @@ mod tests {
     #[test]
     fn burst_has_configured_size_and_valid_payloads() {
         let mut c = apache_client();
-        let (frames, next) = c.next_burst(SimTime::from_ms(1));
+        let (frames, next) = burst(&mut c, SimTime::from_ms(1));
         assert_eq!(frames.len(), 10);
         for f in &frames {
             assert!(f.payload().starts_with(b"GET "));
@@ -385,8 +404,8 @@ mod tests {
             SimDuration::from_ms(1),
             1,
         ));
-        let (fa, _) = a.next_burst(SimTime::ZERO);
-        let (fb, _) = b.next_burst(SimTime::ZERO);
+        let (fa, _) = burst(&mut a, SimTime::ZERO);
+        let (fb, _) = burst(&mut b, SimTime::ZERO);
         let mut ids: Vec<u64> = fa
             .iter()
             .chain(fb.iter())
@@ -395,6 +414,40 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), 10);
+    }
+
+    /// The rendered payloads are byte for byte what the request builders'
+    /// `to_payload()` produces for the same draws.
+    #[test]
+    fn payloads_match_the_request_builders() {
+        for workload in [
+            Workload::ApacheGet,
+            Workload::MemcachedGet,
+            Workload::ApachePut,
+            Workload::Bulk,
+        ] {
+            let cfg = ClientConfig::apache(NodeId(1), NodeId(0), 1, SimDuration::from_ms(1), 11)
+                .with_workload(workload);
+            let mut rng = SplitMix64::new(cfg.seed);
+            let mut c = OpenLoopClient::new(cfg);
+            for seq in 0..1_000u64 {
+                let want = match workload {
+                    Workload::ApacheGet => {
+                        let doc = rng.next_below(10_000);
+                        HttpRequest::get(format!("/doc/{doc}.html")).to_payload()
+                    }
+                    Workload::MemcachedGet => {
+                        let key = rng.next_below(1_000_000);
+                        MemcachedRequest::get(format!("user:{key}")).to_payload()
+                    }
+                    Workload::ApachePut => {
+                        HttpRequest::put(format!("/doc/{}.html", seq % 10_000)).to_payload()
+                    }
+                    Workload::Bulk => Bytes::from(vec![0xA5u8; netsim::packet::MSS]),
+                };
+                assert_eq!(c.payload(seq)[..], want[..], "{workload:?} draw {seq}");
+            }
+        }
     }
 
     #[test]
@@ -412,7 +465,7 @@ mod tests {
             SimDuration::from_ms(1),
             9,
         ));
-        let (frames, _) = c.next_burst(SimTime::ZERO);
+        let (frames, _) = burst(&mut c, SimTime::ZERO);
         for f in &frames {
             assert!(f.payload().starts_with(b"get "));
         }
@@ -424,7 +477,7 @@ mod tests {
             ClientConfig::apache(NodeId(1), NodeId(0), 2, SimDuration::from_ms(1), 9)
                 .with_workload(Workload::Bulk),
         );
-        let (frames, _) = c.next_burst(SimTime::ZERO);
+        let (frames, _) = burst(&mut c, SimTime::ZERO);
         for f in &frames {
             assert_eq!(f.meta().request_id, None);
             assert_eq!(f.leading_bytes(), Some([0xA5, 0xA5]));
@@ -475,7 +528,7 @@ mod tests {
         let mut total_gap = SimDuration::ZERO;
         let n = 2_000;
         for _ in 0..n {
-            let (frames, next) = c.next_burst(now);
+            let (frames, next) = burst(&mut c, now);
             assert_eq!(frames.len(), 1, "Poisson emits one request at a time");
             total_gap += next.saturating_since(now);
             now = next;
@@ -490,9 +543,9 @@ mod tests {
             ClientConfig::apache(NodeId(1), NodeId(0), 10, SimDuration::from_ms(20), 3)
                 .with_step(SimTime::from_ms(50), SimDuration::from_ms(2)),
         );
-        let (_, next1) = c.next_burst(SimTime::from_ms(10));
+        let (_, next1) = burst(&mut c, SimTime::from_ms(10));
         assert!(next1.saturating_since(SimTime::from_ms(10)) >= SimDuration::from_ms(19));
-        let (_, next2) = c.next_burst(SimTime::from_ms(60));
+        let (_, next2) = burst(&mut c, SimTime::from_ms(60));
         let gap = next2.saturating_since(SimTime::from_ms(60));
         assert!(
             gap <= SimDuration::from_nanos(2_200_000),
@@ -506,7 +559,7 @@ mod tests {
             ClientConfig::apache(NodeId(1), NodeId(0), 4, SimDuration::from_ms(1), 7)
                 .with_deadline(SimDuration::from_us(500)),
         );
-        let (frames, _) = c.next_burst(SimTime::from_ms(2));
+        let (frames, _) = burst(&mut c, SimTime::from_ms(2));
         for f in &frames {
             assert_eq!(f.meta().deadline, Some(SimDuration::from_us(500)));
         }
@@ -528,8 +581,8 @@ mod tests {
     fn deterministic_bursts_per_seed() {
         let mut a = apache_client();
         let mut b = apache_client();
-        let (fa, na) = a.next_burst(SimTime::ZERO);
-        let (fb, nb) = b.next_burst(SimTime::ZERO);
+        let (fa, na) = burst(&mut a, SimTime::ZERO);
+        let (fb, nb) = burst(&mut b, SimTime::ZERO);
         assert_eq!(na, nb);
         for (x, y) in fa.iter().zip(fb.iter()) {
             assert_eq!(x.payload(), y.payload());

@@ -24,7 +24,8 @@
 //!
 //! let mut client = OpenLoopClient::new(ClientConfig::apache(
 //!     NodeId(1), NodeId(0), 100, SimDuration::from_ms(5), 42));
-//! let (frames, next) = client.next_burst(SimTime::ZERO);
+//! let mut frames = Vec::new();
+//! let next = client.next_burst(SimTime::ZERO, &mut frames);
 //! assert_eq!(frames.len(), 100);
 //! assert!(next > SimTime::ZERO);
 //! ```

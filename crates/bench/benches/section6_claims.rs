@@ -2,12 +2,14 @@
 //!
 //! For each claim the table shows the paper's number, the value measured
 //! on this substrate at the corresponding (knee-relative) operating
-//! point, and whether the *direction* of the effect reproduces. Absolute
-//! agreement is not expected (different substrate); directions and rough
-//! magnitudes are the reproduction contract.
+//! point, and whether the *direction* of the effect reproduces. A
+//! measured effect inside ±`NO_EFFECT_BAND_PCT` (5%) reads "no effect"
+//! against a nonzero claim. Absolute agreement is not expected (different
+//! substrate); directions and rough magnitudes are the reproduction
+//! contract.
 
 use cluster::{AppKind, ExperimentResult, Policy};
-use ncap_bench::{find_sla, header, run_all_policies, study_loads};
+use ncap_bench::{find_sla, header, run_all_policies, study_loads, verdict};
 use simstats::Table;
 
 struct Ctx {
@@ -50,21 +52,6 @@ impl Ctx {
 
     fn meets(&self, level: usize, p: Policy) -> bool {
         self.get(level, p).latency.meets_sla(self.sla_ns)
-    }
-}
-
-fn verdict(paper: f64, measured: f64) -> &'static str {
-    if paper == 0.0 {
-        return if measured.abs() < 5.0 {
-            "direction ok"
-        } else {
-            "DIFFERS"
-        };
-    }
-    if paper.signum() == measured.signum() {
-        "direction ok"
-    } else {
-        "DIFFERS"
     }
 }
 

@@ -285,6 +285,36 @@ pub fn dump_tsv_to(dir: Option<&Path>, name: &str, headers: &[&str], rows: &[Vec
     }
 }
 
+/// Half-width, in percent, of the band around zero inside which a
+/// measured effect counts as no effect at all. A claim of "~0%" holds
+/// when the measurement lands inside it; a claim of a nonzero effect is
+/// not reproduced by a measurement inside it, whatever its sign.
+pub const NO_EFFECT_BAND_PCT: f64 = 5.0;
+
+/// Judges one measured effect (in percent) against the paper's claim (in
+/// percent). A "~0%" claim (`paper == 0.0`) reads "direction ok" when the
+/// measurement stays inside [`NO_EFFECT_BAND_PCT`] and "DIFFERS"
+/// otherwise. A nonzero claim reads "no effect" when the measurement
+/// stays inside the band, else "direction ok" when the signs agree and
+/// "DIFFERS" when they do not.
+#[must_use]
+pub fn verdict(paper: f64, measured: f64) -> &'static str {
+    let no_effect = measured.abs() < NO_EFFECT_BAND_PCT;
+    if paper == 0.0 {
+        if no_effect {
+            "direction ok"
+        } else {
+            "DIFFERS"
+        }
+    } else if no_effect {
+        "no effect"
+    } else if paper.signum() == measured.signum() {
+        "direction ok"
+    } else {
+        "DIFFERS"
+    }
+}
+
 /// Prints the standard bench header.
 pub fn header(id: &str, paper_ref: &str) {
     println!("================================================================");
@@ -311,6 +341,26 @@ mod tests {
         for p in AppKind::Memcached.paper_loads() {
             assert!(m.contains(&p), "missing memcached paper load {p}");
         }
+    }
+
+    #[test]
+    fn verdict_reads_a_zero_effect_as_none() {
+        // The band is the same for "~0%" claims and for nonzero ones.
+        assert_eq!(verdict(0.0, 0.0), "direction ok");
+        assert_eq!(verdict(0.0, -0.0), "direction ok");
+        assert_eq!(verdict(0.0, 4.9), "direction ok");
+        assert_eq!(verdict(0.0, -5.0), "DIFFERS");
+        // A measured zero of either sign reproduces no nonzero claim.
+        for paper in [25.0, -24.0] {
+            assert_eq!(verdict(paper, 0.0), "no effect");
+            assert_eq!(verdict(paper, -0.0), "no effect");
+            assert_eq!(verdict(paper, 4.9), "no effect");
+            assert_eq!(verdict(paper, -4.9), "no effect");
+        }
+        assert_eq!(verdict(25.0, 5.0), "direction ok");
+        assert_eq!(verdict(25.0, -5.0), "DIFFERS");
+        assert_eq!(verdict(-24.0, -30.0), "direction ok");
+        assert_eq!(verdict(-24.0, 106.8), "DIFFERS");
     }
 
     #[test]

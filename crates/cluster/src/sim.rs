@@ -10,7 +10,7 @@
 use crate::trace::{TraceCollector, TraceConfig, Traces};
 use crate::watchdog::{AccountingView, Watchdog};
 use cpusim::{EnergyMeter, PowerMode};
-use desim::{ConfigError, EventHandler, EventQueue, SimDuration, SimTime};
+use desim::{ConfigError, EventHandler, EventQueue, IdMap, SimDuration, SimTime};
 use fleetsim::{
     DomainSchedule, FailureMode, FailureSchedule, FleetAction, FleetConfig, FleetCoordinator,
     FleetSummary, HealthConfig, LoadBalancer,
@@ -21,7 +21,6 @@ use netsim::{
 use oldi_apps::{OpenLoopClient, ResponseTracker};
 use oskernel::{Effects, Kernel, NodeEvent};
 use simstats::breakdown::{stage, BreakdownCollector, LatencyBreakdown, STAGE_COUNT, STAGE_NAMES};
-use std::collections::HashMap;
 
 /// Clamps a nanosecond duration into the `u32` stage fields (4.29 s cap,
 /// far above any request residency the harness simulates).
@@ -205,8 +204,8 @@ pub struct ClusterSim {
     energy_baseline: EnergyMeter,
     offered_measured: u64,
     faults: FaultConfig,
-    retx: HashMap<u64, RetxState>,
-    reassembly: HashMap<u64, Reassembly>,
+    retx: IdMap<u64, RetxState>,
+    reassembly: IdMap<u64, Reassembly>,
     retransmits: u64,
     lost_requests: u64,
     issued_total: u64,
@@ -224,11 +223,14 @@ pub struct ClusterSim {
     /// Attribution records of final response frames seen before their
     /// request fully reassembled (reordering can complete a request on a
     /// non-final segment).
-    stage_cache: HashMap<u64, netsim::StageRecord>,
+    stage_cache: IdMap<u64, netsim::StageRecord>,
     /// The one effects buffer every server event appends into; emptied
     /// (capacity kept) after each event, so the event path never
     /// allocates one.
     fx: Effects,
+    /// The one buffer every client burst appends its frames into; emptied
+    /// (capacity kept) after each burst.
+    burst: Vec<Packet>,
 }
 
 impl std::fmt::Debug for ClusterSim {
@@ -351,8 +353,8 @@ impl ClusterSim {
             energy_baseline: EnergyMeter::new(),
             offered_measured: 0,
             faults: FaultConfig::none(),
-            retx: HashMap::new(),
-            reassembly: HashMap::new(),
+            retx: IdMap::default(),
+            reassembly: IdMap::default(),
             retransmits: 0,
             lost_requests: 0,
             issued_total: 0,
@@ -363,8 +365,9 @@ impl ClusterSim {
             fleet: None,
             breakdown: BreakdownCollector::new(),
             collect_breakdown: true,
-            stage_cache: HashMap::new(),
+            stage_cache: IdMap::default(),
             fx: Effects::default(),
+            burst: Vec::new(),
         })
     }
 
@@ -625,9 +628,10 @@ impl ClusterSim {
     }
 
     fn on_client_burst(&mut self, now: SimTime, idx: usize, queue: &mut EventQueue<ClusterEvent>) {
-        let (frames, next) = self.clients[idx].next_burst(now);
+        let mut frames = std::mem::take(&mut self.burst);
+        let next = self.clients[idx].next_burst(now, &mut frames);
         let is_bg = self.background[idx];
-        for frame in frames {
+        for frame in frames.drain(..) {
             if !is_bg {
                 if let Some(id) = frame.meta().request_id {
                     self.tracker.note_sent(id);
@@ -656,6 +660,7 @@ impl ClusterSim {
             }
             self.route(now, frame, queue);
         }
+        self.burst = frames;
         if next <= self.load_end {
             queue.push(next, ClusterEvent::ClientBurst { idx });
         }
@@ -1621,6 +1626,12 @@ mod tests {
     use crate::runner::build_server;
     use desim::Simulation;
     use oldi_apps::ClientConfig;
+
+    /// Frames ride in cluster events by pointer: an event is three words.
+    #[test]
+    fn cluster_event_fits_24_bytes() {
+        assert!(std::mem::size_of::<ClusterEvent>() <= 24);
+    }
 
     fn tiny_cluster(policy: Policy) -> (ClusterSim, Vec<(SimTime, ClusterEvent)>) {
         let cfg = ExperimentConfig::new(AppKind::Memcached, policy, 10_000.0)

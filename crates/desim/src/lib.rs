@@ -34,6 +34,7 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod config;
+pub mod idmap;
 pub mod profiler;
 pub mod queue;
 pub mod rng;
@@ -42,6 +43,7 @@ pub mod time;
 pub mod timer;
 
 pub use config::ConfigError;
+pub use idmap::{IdHasher, IdMap, IdSet};
 pub use profiler::{ClassStats, Profile, PROFILE_BUCKETS};
 pub use queue::EventQueue;
 pub use rng::SplitMix64;

@@ -20,9 +20,8 @@
 
 use crate::config::{DispatchPolicy, FleetConfig};
 use crate::faults::HealthConfig;
-use desim::{SimDuration, SimTime};
+use desim::{IdMap, SimDuration, SimTime};
 use netsim::{NodeId, Packet};
-use std::collections::HashMap;
 
 /// Rotation state of one backend, as the LB and coordinator see it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -305,7 +304,7 @@ pub struct LoadBalancer {
     health: Option<HealthConfig>,
     backends: Vec<Backend>,
     rr_cursor: usize,
-    conntrack: HashMap<u64, Conn>,
+    conntrack: IdMap<u64, Conn>,
     opened: u64,
     completed: u64,
     rejected: u64,
@@ -338,7 +337,7 @@ impl LoadBalancer {
             health: cfg.effective_health(),
             backends: backends.into_iter().map(Backend::new).collect(),
             rr_cursor: 0,
-            conntrack: HashMap::new(),
+            conntrack: IdMap::default(),
             opened: 0,
             completed: 0,
             rejected: 0,

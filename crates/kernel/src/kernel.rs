@@ -12,14 +12,14 @@ use crate::work::{Work, WorkKind};
 use cpusim::{
     CState, Core, CoreId, CoreStateKind, EnergyMeter, PStateTable, PowerMode, PowerModel,
 };
-use desim::{SimTime, TimerSlot};
+use desim::{IdMap, SimTime, TimerSlot};
 use governors::{CpufreqGovernor, CpuidleGovernor};
 use ncap::{DriverAction, EnhancedDriver, IcrFlags, SoftwareNcap};
 use netsim::tcp::segment_response;
 use netsim::Bytes;
 use netsim::{NodeId, Packet};
 use nicsim::Nic;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Events delivered to a node's kernel.
 #[derive(Debug, Clone)]
@@ -334,9 +334,9 @@ pub struct Kernel {
     uncore: EnergyMeter,
     uncore_sync: SimTime,
 
-    requests: HashMap<u64, ReqState>,
-    seen: HashMap<u64, DupState>,
-    req_traces: HashMap<u64, RequestTrace>,
+    requests: IdMap<u64, ReqState>,
+    seen: IdMap<u64, DupState>,
+    req_traces: IdMap<u64, RequestTrace>,
     finished_traces: Vec<RequestTrace>,
     next_token: u64,
     /// Zero-filled slab every response body is a slice of, so emitting a
@@ -443,9 +443,9 @@ impl Kernel {
             wake_eta: vec![SimTime::ZERO; n],
             isr_pending,
             irq_wake,
-            requests: HashMap::new(),
-            seen: HashMap::new(),
-            req_traces: HashMap::new(),
+            requests: IdMap::default(),
+            seen: IdMap::default(),
+            req_traces: IdMap::default(),
             finished_traces: Vec::new(),
             next_token: 0,
             zeros: Bytes::new(),
@@ -1805,6 +1805,12 @@ mod tests {
     use netsim::http::HttpRequest;
     use netsim::Bytes;
     use nicsim::NicConfig;
+
+    /// Frames ride in node events by pointer: an event is two words.
+    #[test]
+    fn node_event_fits_16_bytes() {
+        assert!(std::mem::size_of::<NodeEvent>() <= 16);
+    }
 
     /// A scripted application: fixed CPU cost, fixed response size.
     struct StubApp {

@@ -133,6 +133,13 @@ mod tests {
         assert_eq!(w.kind.label(), "overhead");
     }
 
+    /// Frames ride in run-queue entries by pointer, so an entry stays
+    /// small however large a frame's sideband grows.
+    #[test]
+    fn work_fits_56_bytes() {
+        assert!(std::mem::size_of::<Work>() <= 56);
+    }
+
     #[test]
     fn labels_are_distinct() {
         let labels = [

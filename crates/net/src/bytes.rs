@@ -63,13 +63,16 @@ impl Bytes {
         }
     }
 
-    /// Copies a slice into a new shared buffer. It goes through
-    /// `From<Vec<u8>>`, so every call allocates and copies into a new
-    /// `Arc<[u8]>`; hot paths should [`slice`](Bytes::slice) a shared
-    /// buffer instead.
+    /// Copies a slice into a new shared buffer: one allocation, one copy.
+    /// Hot paths that would copy the same bytes again and again should
+    /// [`slice`](Bytes::slice) one shared buffer instead.
     #[must_use]
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes::from(data.to_vec())
+        Bytes {
+            storage: Storage::Shared(Arc::from(data)),
+            offset: 0,
+            len: data.len(),
+        }
     }
 
     /// Number of bytes in this view.

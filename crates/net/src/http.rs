@@ -11,6 +11,35 @@
 //!   workload.
 
 use crate::bytes::Bytes;
+use std::fmt::Display;
+use std::io::Write;
+
+/// Appends an HTTP/1.1 request line and minimal headers for `method` and
+/// `path` to `out`. [`HttpRequest::to_payload`] and the simulated clients
+/// both write through this, so their bytes cannot drift apart.
+pub fn write_http_request(out: &mut Vec<u8>, method: HttpMethod, path: impl Display) {
+    write!(
+        out,
+        "{} {path} HTTP/1.1\r\nHost: server\r\nUser-Agent: ncap-sim\r\nAccept: */*\r\n\r\n",
+        method.token(),
+    )
+    .expect("writing to a Vec cannot fail");
+}
+
+/// Appends a Memcached text-protocol command for `key` to `out`: `get`
+/// when `set_value_len` is `None`, else `set` carrying that many value
+/// bytes. [`MemcachedRequest::to_payload`] and the simulated clients both
+/// write through this.
+pub fn write_memcached_request(out: &mut Vec<u8>, key: impl Display, set_value_len: Option<usize>) {
+    match set_value_len {
+        None => write!(out, "get {key}\r\n").expect("writing to a Vec cannot fail"),
+        Some(len) => {
+            write!(out, "set {key} 0 0 {len}\r\n").expect("writing to a Vec cannot fail");
+            out.extend(std::iter::repeat_n(b'v', len));
+            out.extend_from_slice(b"\r\n");
+        }
+    }
+}
 
 /// HTTP request methods the model understands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -99,12 +128,9 @@ impl HttpRequest {
     /// ```
     #[must_use]
     pub fn to_payload(&self) -> Bytes {
-        let s = format!(
-            "{} {} HTTP/1.1\r\nHost: server\r\nUser-Agent: ncap-sim\r\nAccept: */*\r\n\r\n",
-            self.method.token(),
-            self.path
-        );
-        Bytes::from(s)
+        let mut out = Vec::new();
+        write_http_request(&mut out, self.method, &self.path);
+        Bytes::from(out)
     }
 }
 
@@ -151,15 +177,9 @@ impl MemcachedRequest {
     /// ```
     #[must_use]
     pub fn to_payload(&self) -> Bytes {
-        match self.set_value_len {
-            None => Bytes::from(format!("get {}\r\n", self.key)),
-            Some(len) => {
-                let mut s = format!("set {} 0 0 {len}\r\n", self.key).into_bytes();
-                s.extend(std::iter::repeat_n(b'v', len));
-                s.extend_from_slice(b"\r\n");
-                Bytes::from(s)
-            }
-        }
+        let mut out = Vec::new();
+        write_memcached_request(&mut out, &self.key, self.set_value_len);
+        Bytes::from(out)
     }
 
     /// First two payload bytes: `ge` for get, `se` for set.

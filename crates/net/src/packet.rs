@@ -134,8 +134,17 @@ pub struct PacketMeta {
 }
 
 /// One Ethernet frame carrying a TCP segment.
-#[derive(Debug, Clone)]
-pub struct Packet {
+///
+/// A frame is one owned pointer to its fields, so the events, NIC rings
+/// and run-queue entries that carry it move 8 bytes per hop instead of
+/// the whole frame — the way gem5's NIC and link models pass
+/// `EthPacketPtr`s.
+#[derive(Clone)]
+pub struct Packet(Box<Frame>);
+
+/// The fields of a [`Packet`], behind its pointer.
+#[derive(Clone)]
+struct Frame {
     src: NodeId,
     dst: NodeId,
     flow: u32,
@@ -143,17 +152,31 @@ pub struct Packet {
     meta: PacketMeta,
 }
 
+/// Prints what `#[derive(Debug)]` on a struct of the fields would, so the
+/// box stays invisible in `{:?}` output.
+impl fmt::Debug for Packet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Packet")
+            .field("src", &self.0.src)
+            .field("dst", &self.0.dst)
+            .field("flow", &self.0.flow)
+            .field("payload", &self.0.payload)
+            .field("meta", &self.0.meta)
+            .finish()
+    }
+}
+
 impl Packet {
     /// Builds a frame from raw parts.
     #[must_use]
     pub fn new(src: NodeId, dst: NodeId, flow: u32, payload: Bytes, meta: PacketMeta) -> Self {
-        Packet {
+        Packet(Box::new(Frame {
             src,
             dst,
             flow,
             payload,
             meta,
-        }
+        }))
     }
 
     /// Convenience constructor for a request frame (client → server).
@@ -199,7 +222,7 @@ impl Packet {
     /// Sets the client send timestamp (builder-style).
     #[must_use]
     pub fn sent_at(mut self, t: SimTime) -> Self {
-        self.meta.sent_at = t;
+        self.0.meta.sent_at = t;
         self
     }
 
@@ -209,8 +232,8 @@ impl Packet {
     /// therefore latency attribution) survives the middlebox.
     #[must_use]
     pub fn readdress(mut self, src: NodeId, dst: NodeId) -> Self {
-        self.src = src;
-        self.dst = dst;
+        self.0.src = src;
+        self.0.dst = dst;
         self
     }
 
@@ -218,44 +241,44 @@ impl Packet {
     /// (builder-style).
     #[must_use]
     pub fn with_deadline(mut self, deadline: SimDuration) -> Self {
-        self.meta.deadline = Some(deadline);
+        self.0.meta.deadline = Some(deadline);
         self
     }
 
     /// Source node.
     #[must_use]
     pub fn src(&self) -> NodeId {
-        self.src
+        self.0.src
     }
 
     /// Destination node.
     #[must_use]
     pub fn dst(&self) -> NodeId {
-        self.dst
+        self.0.dst
     }
 
     /// Flow identifier (connection surrogate).
     #[must_use]
     pub fn flow(&self) -> u32 {
-        self.flow
+        self.0.flow
     }
 
     /// TCP payload bytes (starting at frame offset [`PAYLOAD_OFFSET`]).
     #[must_use]
     pub fn payload(&self) -> &[u8] {
-        &self.payload
+        &self.0.payload
     }
 
     /// A zero-copy handle to the payload storage.
     #[must_use]
     pub fn payload_bytes(&self) -> Bytes {
-        self.payload.clone()
+        self.0.payload.clone()
     }
 
     /// Measurement sideband.
     #[must_use]
     pub fn meta(&self) -> PacketMeta {
-        self.meta
+        self.0.meta
     }
 
     /// Mutable access to the measurement sideband — for the attribution
@@ -263,15 +286,15 @@ impl Packet {
     /// server NIC/kernel) write as the frame passes through them. Only
     /// measurement code may use this; simulated logic never reads meta.
     pub fn meta_mut(&mut self) -> &mut PacketMeta {
-        &mut self.meta
+        &mut self.0.meta
     }
 
     /// The first two payload bytes — what ReqMonitor's template comparison
     /// reads — or `None` for payloads shorter than two bytes (pure ACKs).
     #[must_use]
     pub fn leading_bytes(&self) -> Option<[u8; 2]> {
-        if self.payload.len() >= 2 {
-            Some([self.payload[0], self.payload[1]])
+        if self.0.payload.len() >= 2 {
+            Some([self.0.payload[0], self.0.payload[1]])
         } else {
             None
         }
@@ -285,10 +308,10 @@ impl Packet {
     #[must_use]
     pub fn frame_len(&self) -> usize {
         debug_assert!(
-            self.payload.len() <= MSS,
+            self.0.payload.len() <= MSS,
             "payload exceeds MSS; segment first"
         );
-        PAYLOAD_OFFSET + self.payload.len()
+        PAYLOAD_OFFSET + self.0.payload.len()
     }
 
     /// Bytes occupying the wire, including preamble/FCS/IFG — what the
@@ -360,6 +383,34 @@ mod tests {
         assert_eq!(p.meta().request_id, Some(7));
         assert_eq!(p.meta().sent_at, SimTime::from_us(11));
         assert_eq!(p.payload(), b"GET /");
+    }
+
+    #[test]
+    fn packet_is_one_pointer() {
+        assert_eq!(
+            core::mem::size_of::<Packet>(),
+            core::mem::size_of::<usize>()
+        );
+    }
+
+    #[test]
+    fn debug_prints_the_fields_as_a_derive_would() {
+        let mut p = Packet::request(NodeId(3), NodeId(0), 42, Bytes::from_static(b"GET /a\r\n"))
+            .sent_at(SimTime::from_us(5))
+            .with_deadline(SimDuration::from_us(200));
+        p.meta_mut().seq = 2;
+        p.meta_mut().stages.lb_in_ns = 7;
+        p.meta_mut().stages.arrival = SimTime::from_us(9);
+        assert_eq!(
+            format!("{p:?}"),
+            "Packet { src: NodeId(3), dst: NodeId(0), flow: 42, payload: b\"GET /a\\x0d\\x0a\", \
+             meta: PacketMeta { request_id: Some(42), sent_at: SimTime(5000), seq: 2, \
+             is_final: true, deadline: Some(SimDuration(200000)), rejected: false, \
+             stages: StageRecord { retx_ns: 0, lb_in_ns: 7, lb_out_ns: 0, \
+             arrival: SimTime(9000), dma_done: SimTime(0), moderation_ns: 0, wake_ns: 0, \
+             stack_ns: 0, poll_wait_ns: 0, rq_wait_ns: 0, cpu_ns: 0, io_ns: 0, replay_ns: 0, \
+             app_done: SimTime(0), tx_ns: 0, last_tx: SimTime(0) } } }"
+        );
     }
 
     #[test]

@@ -17,8 +17,7 @@
 
 use crate::bytes::Bytes;
 use crate::packet::{NodeId, Packet, PacketMeta, MSS};
-use desim::SimTime;
-use std::collections::HashSet;
+use desim::{IdSet, SimTime};
 
 /// Splits a response body into MSS-sized frames from `src` to `dst`.
 ///
@@ -140,7 +139,7 @@ pub enum SegmentStatus {
 /// message open forever.
 #[derive(Debug, Default)]
 pub struct Reassembly {
-    received: HashSet<u32>,
+    received: IdSet<u32>,
     final_seq: Option<u32>,
     done: bool,
 }

@@ -168,12 +168,18 @@ for workload in mc_knee apache_burst fleet_jsq; do
         { echo "verify: perfbench $workload run is not correct" >&2; exit 1; }
 done
 # The observer-effect, energy-identity, profile-event and collapsed-fleet
-# self-checks run only under `--trace 1`: one traced second of the
-# memcached knee must pass them all.
-perf_out=$(run cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
-    --workload mc_knee --seed 7 --seconds 1 --trace 1)
-echo "$perf_out" | tail -1 | grep -q '"correct": true' ||
-    { echo "verify: traced perfbench mc_knee run is not correct" >&2; exit 1; }
+# self-checks run only under `--trace 1`: one traced second of every
+# workload must pass them all, and its allocation count must repeat
+# exactly between two runs (the simulation's maps hash with a fixed
+# hasher, so the count is a deterministic counter, not a host metric).
+for workload in mc_knee apache_burst fleet_jsq; do
+    perf_out=$(run cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 7 --seconds 1 --trace 1)
+    echo "$perf_out" | tail -1 | grep -q '"correct": true' ||
+        { echo "verify: traced perfbench $workload run is not correct" >&2; exit 1; }
+    echo "$perf_out" | grep -q 'alloc.count repeats exactly' ||
+        { echo "verify: traced perfbench $workload alloc.count is not exact" >&2; exit 1; }
+done
 echo "==> perfbench smoke ok"
 
 # Hermeticity: no external crates may creep back into any manifest.
